@@ -12,6 +12,32 @@
 
 use crossbeam::thread as cb_thread;
 
+/// Fewest independent cells for which a per-cell map (the predictor's cell
+/// fit, tomography's cell linearization) fans out across workers; below it
+/// the map runs on the calling thread.
+///
+/// Both maps cost ~30 ns per cell, while a fork–join round spawns and joins
+/// scoped OS threads for tens of microseconds. Timing `par_map` over
+/// `fit_cell` on a 2-vCPU host (median of ≥40 runs per size), 2 workers
+/// ran at 0.47× the speed of 1 worker at 1 024 cells, broke even at 8 192
+/// to 12 288 (0.97–1.05×) and first won at 16 384 (1.09–1.24× over three
+/// interleaved sweeps; 1.16–1.35× at 32 768). An hourly
+/// small-world window (~260 cells) therefore stays sequential, while a
+/// daily paper-scale window (~16 800 cells) fans out. `par_map` preserves
+/// input order, so the cutoff never changes a result, only where it is
+/// computed.
+pub const MIN_PARALLEL_CELLS: usize = 16_384;
+
+/// Workers for a per-cell map over `cells` items: one below
+/// [`MIN_PARALLEL_CELLS`], else the resolved `configured` count.
+pub fn cell_workers(cells: usize, configured: usize) -> usize {
+    if cells < MIN_PARALLEL_CELLS {
+        1
+    } else {
+        resolve_workers(configured)
+    }
+}
+
 /// Resolves a configured worker count: `0` means "one worker per available
 /// core", anything else is taken literally.
 pub fn resolve_workers(configured: usize) -> usize {

@@ -17,6 +17,8 @@
 //!    deliberately wide SEM so priors lose to any data-backed estimate in
 //!    the top-k pruning.
 
+use std::sync::Arc;
+
 use via_model::ids::RelayId;
 use via_model::metrics::{Metric, PathMetrics};
 use via_model::options::RelayOption;
@@ -167,42 +169,80 @@ impl Default for PredictorConfig {
 
 /// Geography the controller knows: one representative position per spatial
 /// key and per relay. Built once per world by the replay engine / testbed.
+///
+/// Every fiber-bound RTT that touches a relay is precomputed at
+/// construction (key→relay, relay→key and relay↔relay tables, each entry the
+/// exact `min_rtt_ms` call in its original orientation, so results are
+/// bit-identical to computing on demand). Only key↔key `Direct` floors are
+/// computed per query, so fine key granularities never need a keys² table.
+/// The tables sit behind an [`Arc`]: cloning a prior (once per predictor
+/// fit) copies no positions.
 #[derive(Debug, Clone)]
-pub struct GeoPrior {
+pub struct GeoPrior(Arc<PriorTables>);
+
+#[derive(Debug)]
+struct PriorTables {
     key_pos: Vec<GeoPoint>,
-    relay_pos: Vec<GeoPoint>,
+    n_relays: usize,
+    /// `key_pos[k].min_rtt_ms(&relay_pos[r])` at `k * n_relays + r`.
+    key_relay_ms: Vec<f64>,
+    /// `relay_pos[r].min_rtt_ms(&key_pos[k])` at `k * n_relays + r`.
+    relay_key_ms: Vec<f64>,
+    /// `relay_pos[i].min_rtt_ms(&relay_pos[j])` at `i * n_relays + j`.
+    relay_relay_ms: Vec<f64>,
 }
 
 impl GeoPrior {
     /// Builds a prior from per-key and per-relay positions (indexable by key
     /// value / relay id).
     pub fn new(key_pos: Vec<GeoPoint>, relay_pos: Vec<GeoPoint>) -> Self {
-        Self { key_pos, relay_pos }
+        let key_relay_ms = key_pos
+            .iter()
+            .flat_map(|k| relay_pos.iter().map(|r| k.min_rtt_ms(r)))
+            .collect();
+        let relay_key_ms = key_pos
+            .iter()
+            .flat_map(|k| relay_pos.iter().map(|r| r.min_rtt_ms(k)))
+            .collect();
+        let relay_relay_ms = relay_pos
+            .iter()
+            .flat_map(|p| relay_pos.iter().map(|q| p.min_rtt_ms(q)))
+            .collect();
+        Self(Arc::new(PriorTables {
+            key_pos,
+            n_relays: relay_pos.len(),
+            key_relay_ms,
+            relay_key_ms,
+            relay_relay_ms,
+        }))
     }
 
-    fn pos_of_key(&self, key: u32) -> Option<&GeoPoint> {
-        self.key_pos.get(key as usize)
-    }
-
-    /// Prior fiber-bound RTT of an option, ms.
+    /// Prior fiber-bound RTT of an option, ms; `None` for an unknown key or
+    /// relay id.
     fn path_rtt_floor(&self, a: u32, b: u32, option: RelayOption) -> Option<f64> {
-        let pa = self.pos_of_key(a)?;
-        let pb = self.pos_of_key(b)?;
+        let t = &*self.0;
+        let (a, b) = (a as usize, b as usize);
         Some(match option.canonical() {
-            RelayOption::Direct => pa.min_rtt_ms(pb),
-            RelayOption::Bounce(r) => {
-                let pr = self.relay_pos.get(r.index())?;
-                pa.min_rtt_ms(pr) + pr.min_rtt_ms(pb)
-            }
+            RelayOption::Direct => t.key_pos.get(a)?.min_rtt_ms(t.key_pos.get(b)?),
+            RelayOption::Bounce(r) => t.at(&t.key_relay_ms, a, r)? + t.at(&t.relay_key_ms, b, r)?,
             RelayOption::Transit(r1, r2) => {
-                let p1 = self.relay_pos.get(r1.index())?;
-                let p2 = self.relay_pos.get(r2.index())?;
                 // Orient for the shorter on-ramps, like the managed network.
-                let fwd = pa.min_rtt_ms(p1) + p2.min_rtt_ms(pb);
-                let rev = pa.min_rtt_ms(p2) + p1.min_rtt_ms(pb);
-                fwd.min(rev) + p1.min_rtt_ms(p2)
+                let fwd = t.at(&t.key_relay_ms, a, r1)? + t.at(&t.relay_key_ms, b, r2)?;
+                let rev = t.at(&t.key_relay_ms, a, r2)? + t.at(&t.relay_key_ms, b, r1)?;
+                fwd.min(rev) + t.at(&t.relay_relay_ms, r1.index(), r2)?
             }
         })
+    }
+}
+
+impl PriorTables {
+    /// Entry (`row`, `r`) of a table with `n_relays` columns; `None` when the
+    /// row or the relay is out of range.
+    fn at(&self, table: &[f64], row: usize, r: RelayId) -> Option<f64> {
+        if r.index() >= self.n_relays {
+            return None;
+        }
+        table.get(row * self.n_relays + r.index()).copied()
     }
 }
 
@@ -241,11 +281,7 @@ impl Predictor {
         // windows stay sequential — thread startup would dominate.
         let mut cells: Vec<_> = history.window_cells(training_window).collect();
         cells.sort_by_key(|(k, _)| **k);
-        let workers = if cells.len() < 256 {
-            1
-        } else {
-            crate::par::resolve_workers(cfg.workers)
-        };
+        let workers = crate::par::cell_workers(cells.len(), cfg.workers);
         let fitted = crate::par::par_map(workers, &cells, |_, &(&(pair, option), stats)| {
             fit_cell(stats, &cfg).map(|pred| ((pair, option), pred))
         });
@@ -498,6 +534,126 @@ mod tests {
                 assert!(pred.lower(m) <= pred.mean(m) + 1e-9);
                 assert!(pred.upper(m) + 1e-9 >= pred.mean(m));
             }
+        }
+    }
+
+    /// The on-demand `min_rtt_ms` formula the prior's tables replace.
+    fn reference_floor(
+        keys: &[GeoPoint],
+        relays: &[GeoPoint],
+        a: u32,
+        b: u32,
+        option: RelayOption,
+    ) -> Option<f64> {
+        let pa = keys.get(a as usize)?;
+        let pb = keys.get(b as usize)?;
+        Some(match option.canonical() {
+            RelayOption::Direct => pa.min_rtt_ms(pb),
+            RelayOption::Bounce(r) => {
+                let pr = relays.get(r.index())?;
+                pa.min_rtt_ms(pr) + pr.min_rtt_ms(pb)
+            }
+            RelayOption::Transit(r1, r2) => {
+                let p1 = relays.get(r1.index())?;
+                let p2 = relays.get(r2.index())?;
+                let fwd = pa.min_rtt_ms(p1) + p2.min_rtt_ms(pb);
+                let rev = pa.min_rtt_ms(p2) + p1.min_rtt_ms(pb);
+                fwd.min(rev) + p1.min_rtt_ms(p2)
+            }
+        })
+    }
+
+    #[test]
+    fn prior_tables_match_min_rtt_formula_bit_for_bit() {
+        use crate::replay::SpatialGranularity;
+        use via_netsim::{World, WorldConfig};
+
+        let world = World::generate(&WorldConfig::small(), 7);
+        let relays: Vec<GeoPoint> = world.relays.iter().map(|r| r.pos).collect();
+        let n_ases = world.ases.len();
+        let options: Vec<Vec<RelayOption>> = (0..n_ases * n_ases)
+            .map(|i| world.candidate_options(world.ases[i / n_ases].id, world.ases[i % n_ases].id))
+            .collect();
+        for gran in [
+            SpatialGranularity::As,
+            SpatialGranularity::Country,
+            SpatialGranularity::SubAs { buckets: 4 },
+        ] {
+            let keys = gran.key_positions(&world);
+            let prior = GeoPrior::new(keys.clone(), relays.clone());
+            // Any AS whose calls map to the key stands in for its options.
+            let mut rep = vec![None; keys.len()];
+            for a in &world.ases {
+                for client in 0..4 {
+                    rep[gran.key_of(&world, a.id, client) as usize].get_or_insert(a.id.index());
+                }
+            }
+            let rep: Vec<usize> = rep.into_iter().map(|r| r.unwrap()).collect();
+            let mut checked = 0usize;
+            for (ka, &sa) in rep.iter().enumerate() {
+                for (kb, &sb) in rep.iter().enumerate() {
+                    for &opt in &options[sa * n_ases + sb] {
+                        let (a, b) = (ka as u32, kb as u32);
+                        let got = prior.path_rtt_floor(a, b, opt).map(f64::to_bits);
+                        let want = reference_floor(&keys, &relays, a, b, opt).map(f64::to_bits);
+                        assert_eq!(got, want, "{gran:?} keys {a}→{b} {opt:?}");
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > keys.len() * keys.len());
+        }
+    }
+
+    #[test]
+    fn unknown_key_and_relay_ids_have_no_floor() {
+        // Three keys, two relays.
+        let p = prior();
+        let bounce = |r| RelayOption::Bounce(RelayId(r));
+        let t = |r1, r2| RelayOption::Transit(RelayId(r1), RelayId(r2));
+        for (a, b, option) in [
+            (0, 3, RelayOption::Direct),
+            (7, 0, bounce(0)),
+            (0, 1, bounce(2)),
+            (0, 1, t(0, 2)),
+            (0, 1, t(2, 0)),
+            (0, 1, t(5, 9)),
+        ] {
+            assert_eq!(p.path_rtt_floor(a, b, option), None, "{a}→{b} {option:?}");
+        }
+        assert!(p.path_rtt_floor(0, 1, t(1, 0)).is_some());
+        // The predictor still answers, from the default RTT.
+        let cold = Predictor::cold(p, bb(), PredictorConfig::default());
+        let pred = cold.predict(0, 9, RelayOption::Transit(RelayId(0), RelayId(4)));
+        assert_eq!(pred.source, PredictionSource::Prior);
+        assert!((pred.mean(Metric::Rtt) - 250.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn parallel_cell_fit_matches_sequential() {
+        // Just enough cells to take the fanned-out path.
+        let n = crate::par::MIN_PARALLEL_CELLS as u32;
+        let mut h = CallHistory::new();
+        for i in 0..n {
+            let option = RelayOption::Bounce(RelayId(i % 2));
+            let m = PathMetrics::new(80.0 + f64::from(i % 97), 0.1, 2.0 + f64::from(i % 7));
+            h.record(window(), KeyPair::new(i / 2 % 3, 3 + i / 6), option, &m);
+        }
+        let fit = |workers| {
+            let cfg = PredictorConfig {
+                workers,
+                ..PredictorConfig::default()
+            };
+            Predictor::fit(&h, window(), prior(), bb(), cfg)
+        };
+        let (seq, par) = (fit(1), fit(2));
+        assert_eq!(seq.empirical_cells(), n as usize);
+        for i in 0..n {
+            let (a, b, o) = (i / 2 % 3, 3 + i / 6, RelayOption::Bounce(RelayId(i % 2)));
+            let (p, q) = (seq.predict(a, b, o), par.predict(a, b, o));
+            assert_eq!(p.source, q.source);
+            assert_eq!(p.lin_mean.map(f64::to_bits), q.lin_mean.map(f64::to_bits));
+            assert_eq!(p.lin_sem.map(f64::to_bits), q.lin_sem.map(f64::to_bits));
         }
     }
 

@@ -1562,10 +1562,13 @@ impl<'a> ReplaySim<'a> {
             let mut oracle_memo: Option<RelayOption> = None;
             // Direct-path day parts for the MOS-delta baseline, captured on
             // the first relayed call and reused across the group (same pair,
-            // and windows stay within a day in every stock config). Coarse
-            // pair granularities can mix AS endpoints inside one group, so
-            // reuse is guarded by `covers` — a mismatch just recaptures.
-            let mut direct_parts: Option<via_netsim::PathDayParts> = None;
+            // and windows stay within a day in every stock config). A group's
+            // key pair is unordered, so its calls run both ways: one slot
+            // per orientation keeps a direction flip from recapturing.
+            // Coarse pair granularities can mix AS endpoints inside one
+            // group, so reuse is guarded by `covers` — a mismatch just
+            // recaptures.
+            let mut direct_parts: [Option<via_netsim::PathDayParts>; 2] = [None, None];
             // One prediction resolve per (pair, window): predictions are
             // constant between refit barriers, so the prediction-only
             // strategy decides once per decision key from the pair's
@@ -1855,7 +1858,13 @@ impl<'a> ReplaySim<'a> {
                     (merged, direct)
                 } else if want_mos && option != RelayOption::Direct {
                     let day = call.t.day();
-                    let parts = match &mut direct_parts {
+                    let [forward, reverse] = &mut direct_parts;
+                    let slot = if call.src_as > call.dst_as {
+                        reverse
+                    } else {
+                        forward
+                    };
+                    let parts = match slot {
                         Some(p) if p.covers(call.src_as, call.dst_as, day) => p,
                         slot => slot.insert(self.world.perf().path_day_parts_scratch(
                             call.src_as,
@@ -1885,12 +1894,15 @@ impl<'a> ReplaySim<'a> {
                 hot.observe(ids.rtt, metrics[Metric::Rtt]);
                 if want_mos {
                     // MOS delta against the direct path under the call's own
-                    // noise draws (a direct pick is its own baseline, so the
-                    // delta is exactly zero).
-                    hot.observe(
-                        ids.mos_delta,
-                        via_quality::mos(&metrics) - via_quality::mos(&direct),
-                    );
+                    // noise draws. A singlepath direct pick is its own
+                    // baseline, so its delta reuses the one MOS evaluation.
+                    let chosen = via_quality::mos(&metrics);
+                    let baseline = if multi || option != RelayOption::Direct {
+                        via_quality::mos(&direct)
+                    } else {
+                        chosen
+                    };
+                    hot.observe(ids.mos_delta, chosen - baseline);
                 }
                 // Regret proxy vs the predictor's best arm; only meaningful
                 // for states scored by a real predictor (best_mean > 0 — the

@@ -161,11 +161,7 @@ impl Tomography {
         // Per-cell linearization is pure math over independent cells: fan it
         // out across the worker pool. Interning and observation assembly
         // stay sequential so unknown indices are stable.
-        let lin_workers = if cells.len() < 256 {
-            1
-        } else {
-            crate::par::resolve_workers(cfg.workers)
-        };
+        let lin_workers = crate::par::cell_workers(cells.len(), cfg.workers);
         let ys: Vec<[f64; 3]> = crate::par::par_map(lin_workers, &cells, |_, (_, stats)| {
             let mut y = [0.0f64; 3];
             for (m_idx, &metric) in Metric::ALL.iter().enumerate() {

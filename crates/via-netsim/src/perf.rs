@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand_distr::{Distribution, Gamma, LogNormal};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use via_model::ids::{AsId, RelayId};
 use via_model::metrics::PathMetrics;
 use via_model::options::RelayOption;
@@ -31,7 +31,7 @@ use via_model::time::SimTime;
 use crate::config::{PerfKnobs, WorldConfig};
 use crate::geo::GeoPoint;
 use crate::segments::{draw_stability, EpisodeSeries, SegMetrics, Segment, SegmentPath, Stability};
-use crate::topology::{AsInfo, Relay};
+use crate::topology::{AsInfo, Relay, RelayGeometry};
 
 /// Static latents plus episode series for one segment.
 #[derive(Debug, Clone)]
@@ -86,10 +86,10 @@ pub struct PerfModel {
     direct: Box<[OnceLock<SegState>]>,
     /// Dense AS→relay attach-leg slots (`a * n_relays + r`).
     relay_wan: Box<[OnceLock<SegState>]>,
-    /// Dense AS↔relay great-circle distances (`as * n_relays + relay`),
-    /// precomputed so transit-orientation picks on the scoring hot path are
-    /// table loads instead of four haversines per query.
-    as_relay_km: Box<[f64]>,
+    /// The world's static distance tables, shared with [`crate::World`], so
+    /// transit-orientation picks on the scoring hot path are table loads
+    /// instead of four haversines per query.
+    geometry: Arc<RelayGeometry>,
     /// Per-call RTT noise (`lognormal_mean` at mean 1.0), prebuilt from the
     /// knobs; `None` when the sigma knob is degenerate (noise factor 1.0).
     rtt_noise: Option<LogNormal<f64>>,
@@ -114,13 +114,10 @@ impl PerfModel {
         config: WorldConfig,
         ases: &[AsInfo],
         relays: &[Relay],
+        geometry: Arc<RelayGeometry>,
     ) -> Self {
         let n_ases = ases.len();
         let n_relays = relays.len();
-        let as_relay_km = ases
-            .iter()
-            .flat_map(|a| relays.iter().map(|r| a.pos.distance_km(&r.pos)))
-            .collect();
         let rtt_noise = unit_lognormal(config.perf.call_rtt_sigma);
         let jitter_noise = unit_lognormal(config.perf.call_jitter_sigma);
         Self {
@@ -134,7 +131,7 @@ impl PerfModel {
             backbone: (0..n_relays * n_relays).map(|_| OnceLock::new()).collect(),
             direct: (0..n_ases * n_ases).map(|_| OnceLock::new()).collect(),
             relay_wan: (0..n_ases * n_relays).map(|_| OnceLock::new()).collect(),
-            as_relay_km,
+            geometry,
             rtt_noise,
             jitter_noise,
             builds: AtomicU64::new(0),
@@ -523,8 +520,7 @@ impl PerfModel {
                 // Pick the orientation with the shorter on-ramps: the managed
                 // network routes sensibly. Distances come from the precomputed
                 // AS↔relay table (same haversine values, no trig per query).
-                let n = self.relay_pos.len();
-                let d = |a: AsId, r: RelayId| self.as_relay_km[a.index() * n + r.index()];
+                let d = |a: AsId, r: RelayId| self.geometry.as_relay_km(a, r);
                 let d_fwd = d(src, r1) + d(dst, r2);
                 let d_rev = d(src, r2) + d(dst, r1);
                 let (rin, rout) = if d_fwd <= d_rev { (r1, r2) } else { (r2, r1) };

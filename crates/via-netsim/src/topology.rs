@@ -4,6 +4,7 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use via_model::ids::{AsId, CountryId, RelayId};
 use via_model::options::RelayOption;
 use via_model::seed;
@@ -70,6 +71,7 @@ pub struct World {
     pub ases: Vec<AsInfo>,
     /// Relay fleet.
     pub relays: Vec<Relay>,
+    geometry: Arc<RelayGeometry>,
     perf: PerfModel,
 }
 
@@ -145,7 +147,8 @@ impl World {
             })
             .collect();
 
-        let perf = PerfModel::new(world_seed, config.clone(), &ases, &relays);
+        let geometry = Arc::new(RelayGeometry::new(&ases, &relays));
+        let perf = PerfModel::new(world_seed, config.clone(), &ases, &relays, geometry.clone());
 
         World {
             config: config.clone(),
@@ -153,6 +156,7 @@ impl World {
             countries,
             ases,
             relays,
+            geometry,
             perf,
         }
     }
@@ -194,6 +198,11 @@ impl World {
     /// workers hold one [`CandidateScratch`] each, so steady-state candidate
     /// enumeration performs no heap allocation. The produced options (content
     /// and order) are identical to [`World::candidate_options`].
+    ///
+    /// No trigonometry runs here: every distance is a load from the world's
+    /// static geometry tables, and each AS's relays come pre-sorted by
+    /// distance, so only the pair-dependent rankings (bounce detour and
+    /// stitched transit length) are sorted per call.
     pub fn candidate_options_into(
         &self,
         src: AsId,
@@ -201,16 +210,18 @@ impl World {
         scratch: &mut CandidateScratch,
         out: &mut Vec<RelayOption>,
     ) {
-        let src_pos = self.ases[src.index()].pos;
-        let dst_pos = self.ases[dst.index()].pos;
+        let geo = &*self.geometry;
 
         // Rank relays by bounce detour distance.
         let by_detour = &mut scratch.by_detour;
         by_detour.clear();
-        by_detour.extend(self.relays.iter().map(|r| {
-            let d = src_pos.distance_km(&r.pos) + r.pos.distance_km(&dst_pos);
-            (d, r.id)
-        }));
+        by_detour.extend(
+            geo.as_relay_row(src)
+                .iter()
+                .zip(geo.relay_as_row(dst))
+                .zip(&self.relays)
+                .map(|((&to_relay, &from_relay), r)| (to_relay + from_relay, r.id)),
+        );
         by_detour.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         out.clear();
@@ -221,36 +232,16 @@ impl World {
 
         // Transit: ingress relays near the source, egress relays near the
         // destination, ranked by total stitched distance.
-        let near_src = &mut scratch.near_src;
-        near_src.clear();
-        near_src.extend(
-            self.relays
-                .iter()
-                .map(|r| (src_pos.distance_km(&r.pos), r.id)),
-        );
-        near_src.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let near_dst = &mut scratch.near_dst;
-        near_dst.clear();
-        near_dst.extend(
-            self.relays
-                .iter()
-                .map(|r| (dst_pos.distance_km(&r.pos), r.id)),
-        );
-        near_dst.sort_by(|a, b| a.0.total_cmp(&b.0));
-
         let k = self.config.transit_candidates.max(1);
         let take = (k as f64).sqrt().ceil() as usize + 1;
         let transits = &mut scratch.transits;
         transits.clear();
-        for &(d_in, r_in) in near_src.iter().take(take) {
-            for &(d_out, r_out) in near_dst.iter().take(take) {
+        for &(d_in, r_in) in geo.nearest(src).iter().take(take) {
+            for &(d_out, r_out) in geo.nearest(dst).iter().take(take) {
                 if r_in == r_out {
                     continue;
                 }
-                let bb = self.relays[r_in.index()]
-                    .pos
-                    .distance_km(&self.relays[r_out.index()].pos);
-                let total = d_in + bb + d_out;
+                let total = d_in + geo.relay_relay_km(r_in, r_out) + d_out;
                 transits.push((total, RelayOption::Transit(r_in, r_out).canonical()));
             }
         }
@@ -268,13 +259,93 @@ impl World {
 
 /// Reusable ranking buffers for [`World::candidate_options_into`]. Holding
 /// one per worker keeps candidate enumeration allocation-free after the
-/// first few calls (buffers retain their high-water capacity).
+/// first few calls (buffers retain their high-water capacity). Only the
+/// pair-dependent rankings need a buffer; per-AS nearest-relay orders are
+/// precomputed once per world.
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
     by_detour: Vec<(f64, RelayId)>,
-    near_src: Vec<(f64, RelayId)>,
-    near_dst: Vec<(f64, RelayId)>,
     transits: Vec<(f64, RelayOption)>,
+}
+
+/// Great-circle distances between a world's static positions, computed once
+/// at generation so that candidate enumeration and the performance model's
+/// transit orientation are table loads instead of haversines per query.
+///
+/// Each entry is the exact `distance_km` call it replaces, in the same
+/// orientation (`a.distance_km(b)` and `b.distance_km(a)` are kept apart),
+/// so results are bit-identical to computing on demand. Memory is
+/// O(ASes·R + R²).
+#[derive(Debug)]
+pub(crate) struct RelayGeometry {
+    n_relays: usize,
+    /// `ases[a].pos.distance_km(&relays[r].pos)` at `a * n_relays + r`.
+    as_relay_km: Box<[f64]>,
+    /// `relays[r].pos.distance_km(&ases[a].pos)` at `a * n_relays + r`.
+    relay_as_km: Box<[f64]>,
+    /// `relays[i].pos.distance_km(&relays[j].pos)` at `i * n_relays + j`.
+    relay_relay_km: Box<[f64]>,
+    /// Row `a`: every relay with its `as_relay_km` distance, ascending by
+    /// distance; ties keep relay-id order (stable sort).
+    nearest: Box<[(f64, RelayId)]>,
+}
+
+impl RelayGeometry {
+    fn new(ases: &[AsInfo], relays: &[Relay]) -> Self {
+        let n_relays = relays.len();
+        let as_relay_km: Box<[f64]> = ases
+            .iter()
+            .flat_map(|a| relays.iter().map(|r| a.pos.distance_km(&r.pos)))
+            .collect();
+        let relay_as_km = ases
+            .iter()
+            .flat_map(|a| relays.iter().map(|r| r.pos.distance_km(&a.pos)))
+            .collect();
+        let relay_relay_km = relays
+            .iter()
+            .flat_map(|p| relays.iter().map(|q| p.pos.distance_km(&q.pos)))
+            .collect();
+        let mut nearest: Box<[(f64, RelayId)]> = as_relay_km
+            .iter()
+            .zip(relays.iter().cycle())
+            .map(|(&d, r)| (d, r.id))
+            .collect();
+        for row in nearest.chunks_mut(n_relays) {
+            row.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        Self {
+            n_relays,
+            as_relay_km,
+            relay_as_km,
+            relay_relay_km,
+            nearest,
+        }
+    }
+
+    fn row(&self, a: AsId) -> std::ops::Range<usize> {
+        a.index() * self.n_relays..(a.index() + 1) * self.n_relays
+    }
+
+    /// AS `a` → relay `r` distance, km.
+    pub(crate) fn as_relay_km(&self, a: AsId, r: RelayId) -> f64 {
+        self.as_relay_km[a.index() * self.n_relays + r.index()]
+    }
+
+    fn as_relay_row(&self, a: AsId) -> &[f64] {
+        &self.as_relay_km[self.row(a)]
+    }
+
+    fn relay_as_row(&self, a: AsId) -> &[f64] {
+        &self.relay_as_km[self.row(a)]
+    }
+
+    fn relay_relay_km(&self, from: RelayId, to: RelayId) -> f64 {
+        self.relay_relay_km[from.index() * self.n_relays + to.index()]
+    }
+
+    fn nearest(&self, a: AsId) -> &[(f64, RelayId)] {
+        &self.nearest[self.row(a)]
+    }
 }
 
 fn wrap_lon(lon: f64) -> f64 {
@@ -380,6 +451,101 @@ mod tests {
         let w = world();
         for o in w.candidate_options(w.ases[0].id, w.ases[1].id) {
             assert_eq!(o, o.canonical());
+        }
+    }
+
+    /// The on-demand haversine enumeration the geometry tables replace:
+    /// three distance rankings recomputed per pair. Kept as the reference
+    /// the table-driven path must reproduce exactly.
+    fn reference_candidates(w: &World, src: AsId, dst: AsId) -> Vec<RelayOption> {
+        let src_pos = w.ases[src.index()].pos;
+        let dst_pos = w.ases[dst.index()].pos;
+        let ranked = |f: &dyn Fn(&Relay) -> f64| {
+            let mut v: Vec<(f64, RelayId)> = w.relays.iter().map(|r| (f(r), r.id)).collect();
+            v.sort_by(|a, b| a.0.total_cmp(&b.0));
+            v
+        };
+        let by_detour = ranked(&|r| src_pos.distance_km(&r.pos) + r.pos.distance_km(&dst_pos));
+        let near_src = ranked(&|r| src_pos.distance_km(&r.pos));
+        let near_dst = ranked(&|r| dst_pos.distance_km(&r.pos));
+        let mut out = vec![RelayOption::Direct];
+        for &(_, r) in by_detour.iter().take(w.config.bounce_candidates) {
+            out.push(RelayOption::Bounce(r));
+        }
+        let take = (w.config.transit_candidates.max(1) as f64).sqrt().ceil() as usize + 1;
+        let mut transits = Vec::new();
+        for &(d_in, r_in) in near_src.iter().take(take) {
+            for &(d_out, r_out) in near_dst.iter().take(take) {
+                if r_in != r_out {
+                    let bb = w.relays[r_in.index()]
+                        .pos
+                        .distance_km(&w.relays[r_out.index()].pos);
+                    transits.push((
+                        d_in + bb + d_out,
+                        RelayOption::Transit(r_in, r_out).canonical(),
+                    ));
+                }
+            }
+        }
+        transits.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let cap = 1 + w.config.bounce_candidates + w.config.transit_candidates;
+        for (_, t) in transits {
+            if out.len() >= cap {
+                break;
+            }
+            if !out.contains(&t) {
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn table_candidates_match_haversine_reference_for_every_pair() {
+        for (cfg, seed) in [
+            (WorldConfig::tiny(), 42),
+            (WorldConfig::small(), 7),
+            (WorldConfig::paper_scale(), 7),
+        ] {
+            let w = World::generate(&cfg, seed);
+            let mut scratch = CandidateScratch::default();
+            let mut got = Vec::new();
+            for src in &w.ases {
+                for dst in &w.ases {
+                    w.candidate_options_into(src.id, dst.id, &mut scratch, &mut got);
+                    assert_eq!(
+                        got,
+                        reference_candidates(&w, src.id, dst.id),
+                        "{} ASes: pair {:?}→{:?}",
+                        w.ases.len(),
+                        src.id,
+                        dst.id
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn geometry_tables_are_bit_identical_to_haversine() {
+        let w = World::generate(&WorldConfig::small(), 7);
+        let g = &w.geometry;
+        for a in &w.ases {
+            let near = g.nearest(a.id);
+            assert!(near.windows(2).all(|p| p[0].0 <= p[1].0));
+            for r in &w.relays {
+                let to = a.pos.distance_km(&r.pos);
+                assert_eq!(g.as_relay_km(a.id, r.id).to_bits(), to.to_bits());
+                let from = r.pos.distance_km(&a.pos);
+                assert_eq!(g.relay_as_row(a.id)[r.id.index()].to_bits(), from.to_bits());
+                assert!(near.contains(&(to, r.id)));
+            }
+        }
+        for p in &w.relays {
+            for q in &w.relays {
+                let d = p.pos.distance_km(&q.pos);
+                assert_eq!(g.relay_relay_km(p.id, q.id).to_bits(), d.to_bits());
+            }
         }
     }
 

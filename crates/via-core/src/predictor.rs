@@ -217,6 +217,11 @@ impl GeoPrior {
         }))
     }
 
+    /// Number of relays the prior knows; valid relay ids are `0..relay_count()`.
+    pub fn relay_count(&self) -> usize {
+        self.0.n_relays
+    }
+
     /// Prior fiber-bound RTT of an option, ms; `None` for an unknown key or
     /// relay id.
     fn path_rtt_floor(&self, a: u32, b: u32, option: RelayOption) -> Option<f64> {

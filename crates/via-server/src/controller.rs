@@ -378,6 +378,19 @@ impl Controller {
         }
     }
 
+    /// True when every relay `option` names is one the controller's prior
+    /// knows. Options naming any other relay id must not reach
+    /// [`Controller::select`] or [`Controller::report`]: the backbone
+    /// function is only defined over the known relays.
+    pub fn knows_option(&self, option: RelayOption) -> bool {
+        let n = self.prior.relay_count();
+        match option {
+            RelayOption::Direct => true,
+            RelayOption::Bounce(r) => r.index() < n,
+            RelayOption::Transit(a, b) => a.index() < n && b.index() < n,
+        }
+    }
+
     /// Decides the relay option for one call. `call_id` seeds the
     /// ε-exploration RNG, so identical request streams select identically.
     pub fn select(

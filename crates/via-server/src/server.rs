@@ -8,6 +8,20 @@
 //! reconnecting client holding its old session id gets a typed
 //! [`ErrorKind::UnknownSession`] rather than silently adopting state it no
 //! longer owns.
+//!
+//! A handler answers requests strictly in arrival order but writes their
+//! responses in batches: each response is queued on the connection, and the
+//! queue goes out in one write once every complete request already received
+//! has been answered (before the handler waits on the socket again), after
+//! `Bye`, when the connection ends, or when more than
+//! [`OUT_FLUSH_BYTES`](via_testbed::protocol::OUT_FLUSH_BYTES) are queued.
+//! A client that pipelines N requests therefore costs one write syscall,
+//! not N; a client that sends one request at a time sees no change.
+//!
+//! Requests are checked at this boundary before they reach the controller:
+//! an option naming a relay the controller does not know, or a report with
+//! non-finite or negative metrics, is a [`ErrorKind::BadRequest`] and leaves
+//! the controller untouched.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -16,6 +30,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use via_model::metrics::PathMetrics;
+use via_model::options::RelayOption;
 use via_testbed::protocol::{accept_deadline, FrameConn, FrameError};
 
 use crate::controller::Controller;
@@ -122,6 +138,10 @@ fn accept_loop(listener: &TcpListener, controller: &Arc<Controller>, shutdown: &
 /// Runs one connection: `Hello` handshake, then a request loop until the
 /// peer disconnects, errors, or the server shuts down. The session opened
 /// here is closed on every exit path.
+///
+/// Responses are queued: [`FrameConn::read_deadline`] flushes them before
+/// it waits on the socket, and the flush after the loop covers `Bye` and
+/// every other exit.
 fn handle_conn(stream: std::net::TcpStream, controller: &Controller, shutdown: &AtomicBool) {
     let Ok(mut conn) = FrameConn::new(stream) else {
         return;
@@ -139,13 +159,13 @@ fn handle_conn(stream: std::net::TcpStream, controller: &Controller, shutdown: &
             Err(_) => break, // peer gone or stream corrupt
             Ok(req) => {
                 let resp = dispatch(controller, session, req, shutdown);
-                let done = matches!(resp, Response::Bye);
-                if conn.write(&resp).is_err() || done {
+                if conn.queue(&resp).is_err() || matches!(resp, Response::Bye) {
                     break;
                 }
             }
         }
     }
+    let _ = conn.flush();
     controller.end_session(session);
 }
 
@@ -164,10 +184,7 @@ fn handshake(conn: &mut FrameConn, controller: &Controller, shutdown: &AtomicBoo
         }
     };
     if !matches!(req, Request::Hello) {
-        let _ = conn.write(&Response::Error {
-            kind: ErrorKind::BadRequest,
-            detail: "first frame must be Hello".to_string(),
-        });
+        let _ = conn.write(&bad_request("first frame must be Hello".to_string()));
         return None;
     }
     match controller.open_session() {
@@ -199,6 +216,35 @@ fn check_session(controller: &Controller, mine: u64, claimed: u64) -> Result<(),
     }
 }
 
+fn bad_request(detail: String) -> Response {
+    Response::Error {
+        kind: ErrorKind::BadRequest,
+        detail,
+    }
+}
+
+/// Rejects options naming a relay the controller's prior does not know:
+/// selection and refit would index the backbone with it.
+fn check_options(controller: &Controller, options: &[RelayOption]) -> Result<(), Response> {
+    match options.iter().find(|&&o| !controller.knows_option(o)) {
+        Some(o) => Err(bad_request(format!("option {o:?} names an unknown relay"))),
+        None => Ok(()),
+    }
+}
+
+/// Rejects metrics no measurement can produce. JSON has no NaN, so a
+/// `null` metric decodes to NaN; absorbed, it would read as a zero cost and
+/// steer the bandit toward the arm it was reported for.
+fn check_metrics(m: &PathMetrics) -> Result<(), Response> {
+    if m.is_finite() && m.rtt_ms >= 0.0 && m.loss_pct >= 0.0 && m.jitter_ms >= 0.0 {
+        Ok(())
+    } else {
+        Err(bad_request(format!(
+            "metrics must be finite and non-negative, got {m:?}"
+        )))
+    }
+}
+
 fn dispatch(
     controller: &Controller,
     my_session: u64,
@@ -206,10 +252,7 @@ fn dispatch(
     shutdown: &AtomicBool,
 ) -> Response {
     match req {
-        Request::Hello => Response::Error {
-            kind: ErrorKind::BadRequest,
-            detail: "session already open".to_string(),
-        },
+        Request::Hello => bad_request("session already open".to_string()),
         Request::Select {
             session,
             call_id,
@@ -217,7 +260,9 @@ fn dispatch(
             src_key,
             dst_key,
             candidates,
-        } => match check_session(controller, my_session, session) {
+        } => match check_session(controller, my_session, session)
+            .and_then(|()| check_options(controller, &candidates))
+        {
             Err(e) => e,
             Ok(()) => {
                 let sel = controller.select(call_id, t, src_key, dst_key, &candidates);
@@ -236,7 +281,10 @@ fn dispatch(
             dst_key,
             option,
             metrics,
-        } => match check_session(controller, my_session, session) {
+        } => match check_session(controller, my_session, session)
+            .and_then(|()| check_options(controller, &[option]))
+            .and_then(|()| check_metrics(&metrics))
+        {
             Err(e) => e,
             Ok(()) => Response::Reported {
                 window: controller.report(t, src_key, dst_key, option, &metrics),

@@ -116,19 +116,28 @@ impl From<io::Error> for FrameError {
 
 /// Writes one length-prefixed JSON frame.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
+    // One write for prefix + body: two separate writes let Nagle hold the
+    // body segment behind the prefix's delayed ACK, turning every RPC round
+    // trip into tens of milliseconds on an otherwise-idle connection.
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, msg)?;
+    w.write_all(&frame)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Appends one length-prefixed JSON frame to `out` — the single frame
+/// encoder behind [`write_frame`] and [`FrameConn::queue`]. On error
+/// nothing is appended.
+fn encode_frame<T: Serialize>(out: &mut Vec<u8>, msg: &T) -> Result<(), FrameError> {
     let body = serde_json::to_vec(msg).map_err(|e| FrameError::Decode(e.to_string()))?;
     let len = u32::try_from(body.len()).map_err(|_| FrameError::Oversized(u32::MAX))?;
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len));
     }
-    // One write for prefix + body: two separate writes let Nagle hold the
-    // body segment behind the prefix's delayed ACK, turning every RPC round
-    // trip into tens of milliseconds on an otherwise-idle connection.
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(&body);
-    w.write_all(&frame)?;
-    w.flush()?;
+    out.reserve(4 + body.len());
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(&body);
     Ok(())
 }
 
@@ -180,8 +189,9 @@ pub fn read_body(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), FrameError
 }
 
 /// How long a write may block before the connection is declared dead.
-/// Control frames are < 1 KiB against loopback-sized socket buffers, so any
-/// write that stalls this long means the peer is gone.
+/// One write carries at most [`OUT_FLUSH_BYTES`] of queued control frames
+/// plus one more frame, so any write that stalls this long means the peer is
+/// gone.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Poll interval for [`accept_deadline`], and the cap on one blocking read
@@ -231,17 +241,43 @@ pub fn accept_deadline(
     }
 }
 
-/// A control connection with deadline-bounded, desync-safe frame reads.
+/// Room a socket read may fill: the input buffer grows by this much only
+/// when it is full, so its size tracks bytes received, never a claimed
+/// frame length.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Queued output that [`FrameConn::queue`] sends on its own, so a long run
+/// of queued responses (a `Snapshot` can be large) never holds more than
+/// this much memory before reaching the socket.
+pub const OUT_FLUSH_BYTES: usize = 64 * 1024;
+
+/// A control connection with deadline-bounded, desync-safe frame reads and
+/// batched writes.
 ///
 /// Plain `read_exact` with a socket timeout loses any partially read frame
 /// when the timeout fires, desynchronizing the length-prefixed stream.
 /// `FrameConn` instead accumulates bytes in an internal buffer and decodes a
 /// frame only once it is complete, so a deadline can fire mid-frame and the
 /// next call resumes exactly where the stream left off.
+///
+/// Writes go through a per-connection output buffer: [`FrameConn::queue`]
+/// encodes a frame into it and [`FrameConn::flush`] sends it with one
+/// `write_all`, so a peer that pipelines requests gets a whole batch of
+/// responses in one syscall. [`FrameConn::write`] is `queue` + `flush`.
+/// Queued bytes never wait on the peer: a read that must block flushes
+/// first, and the buffer flushes itself past [`OUT_FLUSH_BYTES`].
 #[derive(Debug)]
 pub struct FrameConn {
     stream: TcpStream,
-    buf: Vec<u8>,
+    /// Received bytes are `inbuf[head..tail]`; `inbuf[tail..]` is
+    /// initialized room the next socket read fills in place.
+    inbuf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// Encoded frames not yet sent.
+    out: Vec<u8>,
+    /// The read timeout last installed on the socket.
+    read_timeout: Option<Duration>,
 }
 
 impl FrameConn {
@@ -256,19 +292,56 @@ impl FrameConn {
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(FrameConn {
             stream,
-            buf: Vec::new(),
+            inbuf: Vec::new(),
+            head: 0,
+            tail: 0,
+            out: Vec::new(),
+            read_timeout: None,
         })
     }
 
-    /// Writes one frame (bounded by the connection's write timeout).
+    /// Writes one frame now (bounded by the connection's write timeout),
+    /// together with anything queued before it.
     ///
     /// # Errors
     /// Propagates frame encoding and socket failures.
     pub fn write<T: Serialize>(&mut self, msg: &T) -> Result<(), FrameError> {
-        write_frame(&mut self.stream, msg)
+        self.queue(msg)?;
+        self.flush()
     }
 
-    /// Reads one frame, waiting at most until `deadline`.
+    /// Encodes one frame into the output buffer without sending it, unless
+    /// the buffer has passed [`OUT_FLUSH_BYTES`], in which case it is sent.
+    ///
+    /// # Errors
+    /// Frame encoding failures (nothing is queued then), or a socket
+    /// failure of the self-flush.
+    pub fn queue<T: Serialize>(&mut self, msg: &T) -> Result<(), FrameError> {
+        encode_frame(&mut self.out, msg)?;
+        if self.out.len() >= OUT_FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Sends every queued frame with one `write_all` (bounded by the
+    /// connection's write timeout). A no-op when nothing is queued.
+    ///
+    /// # Errors
+    /// Propagates socket failures; the queued bytes are dropped then, since
+    /// a partial write leaves the stream unusable anyway.
+    pub fn flush(&mut self) -> Result<(), FrameError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.out);
+        self.out.clear();
+        sent.map_err(FrameError::Io)
+    }
+
+    /// Reads one frame, waiting at most until `deadline`. Queued output is
+    /// flushed before the socket is read, so the peer never waits on
+    /// responses this end is holding.
     ///
     /// # Errors
     /// [`FrameError::Timeout`] when the deadline elapses first (any partial
@@ -282,6 +355,7 @@ impl FrameConn {
             if let Some(msg) = self.try_decode()? {
                 return Ok(msg);
             }
+            self.flush()?;
             let now = Instant::now();
             if now >= deadline {
                 return Err(FrameError::Timeout);
@@ -290,16 +364,19 @@ impl FrameConn {
                 .saturating_duration_since(now)
                 .min(POLL_SLICE)
                 .max(Duration::from_millis(1));
-            self.stream.set_read_timeout(Some(wait))?;
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            if self.read_timeout != Some(wait) {
+                self.stream.set_read_timeout(Some(wait))?;
+                self.read_timeout = Some(wait);
+            }
+            self.compact();
+            match self.stream.read(&mut self.inbuf[self.tail..]) {
                 Ok(0) => {
                     return Err(FrameError::Io(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "peer closed the control connection",
                     )))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.tail += n,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut
@@ -309,22 +386,33 @@ impl FrameConn {
         }
     }
 
+    /// Moves the undecoded bytes to the front of the input buffer and makes
+    /// sure there is room to read into.
+    fn compact(&mut self) {
+        if self.head > 0 {
+            self.inbuf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.tail == self.inbuf.len() {
+            self.inbuf.resize(self.inbuf.len() + READ_CHUNK, 0);
+        }
+    }
+
     /// Decodes one frame from the buffer if a complete one is present.
     fn try_decode<T: for<'de> Deserialize<'de>>(&mut self) -> Result<Option<T>, FrameError> {
-        if self.buf.len() < 4 {
+        let Some((prefix, rest)) = self.inbuf[self.head..self.tail].split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+        };
+        let len = u32::from_be_bytes(*prefix);
         if len > MAX_FRAME {
             return Err(FrameError::Oversized(len));
         }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
+        let Some(body) = rest.get(..len as usize) else {
             return Ok(None);
-        }
-        let msg = serde_json::from_slice(&self.buf[4..total])
-            .map_err(|e| FrameError::Decode(e.to_string()))?;
-        self.buf.drain(..total);
+        };
+        let msg = serde_json::from_slice(body).map_err(|e| FrameError::Decode(e.to_string()))?;
+        self.head += 4 + body.len();
         Ok(Some(msg))
     }
 }
@@ -534,5 +622,141 @@ mod tests {
         assert_eq!(a, ControllerMsg::Welcome);
         assert_eq!(b, ControllerMsg::Finished);
         writer.join().unwrap();
+    }
+
+    /// A connected (`FrameConn`, raw peer) pair on loopback.
+    fn conn_pair() -> (FrameConn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        (FrameConn::new(stream).unwrap(), peer)
+    }
+
+    fn call_msg(round: u32) -> ControllerMsg {
+        ControllerMsg::Call {
+            callee_addr: "127.0.0.1:4002".into(),
+            relay_addr: "127.0.0.1:5001".into(),
+            relay: 1,
+            session: 9,
+            round,
+            probes: 50,
+            gap_ms: 20,
+            callee: "uk-1".into(),
+        }
+    }
+
+    #[test]
+    fn queue_then_flush_sends_exactly_the_write_frame_bytes() {
+        let (mut conn, mut peer) = conn_pair();
+        let msgs = [ControllerMsg::Welcome, call_msg(3), ControllerMsg::Finished];
+        let mut want = Vec::new();
+        for m in &msgs {
+            conn.queue(m).unwrap();
+            write_frame(&mut want, m).unwrap();
+        }
+        assert_eq!(conn.out, want, "queued bytes are write_frame's bytes");
+        conn.flush().unwrap();
+        assert!(conn.out.is_empty());
+        conn.write(&call_msg(4)).unwrap();
+        write_frame(&mut want, &call_msg(4)).unwrap();
+        let mut got = vec![0u8; want.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn queue_flushes_itself_past_the_output_bound() {
+        let (mut conn, mut peer) = conn_pair();
+        // Rounds of four digits, so every frame has the same length.
+        let msg = |i: usize| call_msg(1000 + u32::try_from(i).unwrap());
+        let mut one = Vec::new();
+        write_frame(&mut one, &msg(0)).unwrap();
+        let frame_len = one.len();
+        let below = (OUT_FLUSH_BYTES - 1) / frame_len;
+        for i in 0..below {
+            conn.queue(&msg(i)).unwrap();
+        }
+        assert_eq!(
+            conn.out.len(),
+            below * frame_len,
+            "nothing sent below the bound"
+        );
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; (below + 1) * frame_len];
+            peer.read_exact(&mut got).unwrap();
+            got
+        });
+        conn.queue(&msg(below)).unwrap();
+        assert!(conn.out.is_empty(), "crossing the bound sends the queue");
+        let mut cur = Cursor::new(reader.join().unwrap());
+        for i in 0..=below {
+            let m: ControllerMsg = read_frame(&mut cur).unwrap();
+            assert_eq!(m, msg(i));
+        }
+    }
+
+    /// A read that has to wait flushes queued output first, and a deadline
+    /// that fires mid-frame keeps the partial input.
+    #[test]
+    fn partial_frame_survives_a_timeout_with_queued_output() {
+        let (mut conn, mut peer) = conn_pair();
+        conn.queue(&ControllerMsg::Welcome).unwrap();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &call_msg(7)).unwrap();
+        let half = wire.len() / 2;
+        peer.write_all(&wire[..half]).unwrap();
+        let err = conn
+            .read_deadline::<ControllerMsg>(Instant::now() + Duration::from_millis(50))
+            .unwrap_err();
+        assert!(matches!(err, FrameError::Timeout));
+        assert!(conn.out.is_empty(), "queued output goes out before a wait");
+        let got: ControllerMsg = read_frame(&mut peer).unwrap();
+        assert_eq!(got, ControllerMsg::Welcome);
+        peer.write_all(&wire[half..]).unwrap();
+        let msg: ControllerMsg = conn
+            .read_deadline(Instant::now() + Duration::from_secs(2))
+            .unwrap();
+        assert_eq!(msg, call_msg(7));
+    }
+
+    /// The bytes left after a decoded frame are moved to the buffer's front
+    /// before the next read; a hostile prefix split across that move is
+    /// still caught.
+    #[test]
+    fn oversized_prefix_is_rejected_after_compaction() {
+        let (mut conn, mut peer) = conn_pair();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &ControllerMsg::Welcome).unwrap();
+        let bad = (MAX_FRAME + 1).to_be_bytes();
+        wire.extend_from_slice(&bad[..2]);
+        peer.write_all(&wire).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let first: ControllerMsg = conn.read_deadline(deadline).unwrap();
+        assert_eq!(first, ControllerMsg::Welcome);
+        assert!(conn.head > 0, "the decoded frame is skipped, not drained");
+        peer.write_all(&bad[2..]).unwrap();
+        let err = conn.read_deadline::<ControllerMsg>(deadline).unwrap_err();
+        assert!(matches!(err, FrameError::Oversized(n) if n == MAX_FRAME + 1));
+        assert_eq!(
+            conn.head, 0,
+            "the partial prefix was compacted to the front"
+        );
+    }
+
+    #[test]
+    fn frames_spanning_several_reads_decode_in_order() {
+        let (mut conn, mut peer) = conn_pair();
+        let mut wire = Vec::new();
+        for round in 0..200 {
+            write_frame(&mut wire, &call_msg(round)).unwrap();
+        }
+        assert!(wire.len() > READ_CHUNK, "spans more than one socket read");
+        peer.write_all(&wire).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        for round in 0..200 {
+            let m: ControllerMsg = conn.read_deadline(deadline).unwrap();
+            assert_eq!(m, call_msg(round));
+        }
     }
 }
